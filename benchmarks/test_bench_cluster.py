@@ -258,27 +258,6 @@ def measure_trace_analytics(writes: int = 50_000, seed: int = 0) -> dict:
     }
 
 
-def measure_calendar_queue_events_per_sec(
-    writes: int = BENCH_WRITES, repeats: int = BENCH_REPEATS
-) -> dict:
-    """Calendar-queue vs tuple-heap engine throughput on the validation cell."""
-    _run_cell_workload("batched", 200, seed=0)
-    _run_cell_workload("calendar", 200, seed=0)
-    batched = statistics.median(
-        _run_cell_workload("batched", writes, seed=0) for _ in range(repeats)
-    )
-    calendar = statistics.median(
-        _run_cell_workload("calendar", writes, seed=0) for _ in range(repeats)
-    )
-    return {
-        "writes": writes,
-        "repeats": repeats,
-        "batched_events_per_sec": batched,
-        "calendar_events_per_sec": calendar,
-        "calendar_vs_heap_ratio": calendar / batched,
-    }
-
-
 def test_cluster_hot_path_speedup():
     """The overhauled engine must be >= 5x the pre-overhaul engine, serially."""
     result = measure_cluster_events_per_sec()
@@ -334,17 +313,4 @@ def test_trace_analytics_speedup_at_paper_scale():
         f"columnar pipeline must not slow the combined run: ratio "
         f"{result['total_wall_clock_ratio']:.2f} "
         f"(sim {result['columnar_sim_s']:.1f}s vs {result['object_sim_s']:.1f}s)"
-    )
-
-
-def test_calendar_queue_throughput_sanity():
-    """The calendar engine is an ordering-equivalent alternative, not a perf
-    regression: it must stay within 2.5x of the tuple-heap engine's events/sec
-    (it typically lands near parity; the generous floor absorbs CI noise)."""
-    result = measure_calendar_queue_events_per_sec()
-    ratio = result["calendar_vs_heap_ratio"]
-    assert ratio >= 0.4, (
-        f"calendar queue fell to {ratio:.2f}x of the heap engine "
-        f"(calendar {result['calendar_events_per_sec']:,.0f}/s, "
-        f"batched {result['batched_events_per_sec']:,.0f}/s)"
     )

@@ -77,6 +77,57 @@ class StalenessFrame:
     def __len__(self) -> int:
         return int(self.operation_ids.shape[0])
 
+    @classmethod
+    def from_observations(
+        cls, observations: Sequence[StalenessObservation]
+    ) -> "StalenessFrame":
+        """The frame holding ``observations`` (keys interned in first-seen order)."""
+        key_ids: dict[str, int] = {}
+        return cls(
+            operation_ids=np.array(
+                [obs.operation_id for obs in observations], dtype=np.int64
+            ),
+            key_ids=np.array(
+                [key_ids.setdefault(obs.key, len(key_ids)) for obs in observations],
+                dtype=np.int64,
+            ),
+            key_table=tuple(key_ids),
+            t_since_commit_ms=np.array(
+                [obs.t_since_commit_ms for obs in observations], dtype=np.float64
+            ),
+            consistent=np.array([obs.consistent for obs in observations], dtype=bool),
+            version_lag=np.array(
+                [obs.version_lag for obs in observations], dtype=np.int64
+            ),
+        )
+
+    @classmethod
+    def concat(cls, frames: Sequence["StalenessFrame"]) -> "StalenessFrame":
+        """Concatenate one or more frames column-wise, in order.
+
+        Each frame's key ids are remapped into one merged key table, so the
+        result's :meth:`observations` equal the frames' observation lists
+        joined in order.
+        """
+        table: dict[str, int] = {}
+        key_ids = []
+        for frame in frames:
+            remap = np.array(
+                [table.setdefault(key, len(table)) for key in frame.key_table],
+                dtype=np.int64,
+            )
+            key_ids.append(remap[frame.key_ids])
+        return cls(
+            operation_ids=np.concatenate([frame.operation_ids for frame in frames]),
+            key_ids=np.concatenate(key_ids),
+            key_table=tuple(table),
+            t_since_commit_ms=np.concatenate(
+                [frame.t_since_commit_ms for frame in frames]
+            ),
+            consistent=np.concatenate([frame.consistent for frame in frames]),
+            version_lag=np.concatenate([frame.version_lag for frame in frames]),
+        )
+
     def observations(self) -> list[StalenessObservation]:
         """Materialise the equivalent ``StalenessObservation`` list."""
         table = self.key_table

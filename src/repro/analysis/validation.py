@@ -25,6 +25,12 @@ mirroring the sweep-engine merge contract of
 :mod:`repro.montecarlo.engine`.  ``workers=None`` (the default) preserves
 the historical single-cluster path, where one generator drives the whole
 workload sequentially.
+
+The blocked path stays array-native end to end: each block returns a
+:class:`~repro.analysis.staleness.StalenessFrame`, the frames are
+concatenated column-wise in block order, and the curve, the bin range and
+the predicted latency percentiles are computed from arrays, with no
+per-read observation objects.
 """
 
 from __future__ import annotations
@@ -37,15 +43,18 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.staleness import (
+    StalenessFrame,
     StalenessObservation,
     consistency_by_time,
     observe_staleness,
+    observe_staleness_frame,
     operation_latencies,
 )
 from repro.analysis.statistics import rmse
 from repro.cluster.client import WorkloadRunner
 from repro.cluster.sampling import DEFAULT_DRAW_BATCH_SIZE
 from repro.cluster.store import DynamoCluster
+from repro.cluster.tracelog import ColumnarTraceLog
 from repro.core.quorum import ReplicaConfig
 from repro.core.wars import WARSModel
 from repro.exceptions import AnalysisError
@@ -92,7 +101,7 @@ class ValidationResult:
 
 
 def _compare_curves(
-    observations: Sequence[StalenessObservation],
+    observations: Sequence[StalenessObservation] | StalenessFrame,
     predicted_result,
     bin_edges: Sequence[float],
 ) -> tuple[list[float], list[float], list[float]]:
@@ -133,11 +142,12 @@ class _ValidationBlockSpec:
 
 def _run_validation_block(
     spec: _ValidationBlockSpec,
-) -> tuple[list[StalenessObservation], np.ndarray, np.ndarray]:
+) -> tuple[StalenessFrame, np.ndarray, np.ndarray]:
     """Run one block's cluster workload and extract its measurements.
 
     Module-level so both fork and spawn pools can pickle it (the engine's
-    spawn-after-JIT rule applies here too).
+    spawn-after-JIT rule applies here too).  An object trace log goes
+    through the Fenwick oracle and is packed into the same frame shape.
     """
     cluster = DynamoCluster(
         config=spec.config,
@@ -153,9 +163,15 @@ def _run_validation_block(
         read_offsets_ms=spec.read_offsets_ms,
     )
     WorkloadRunner(cluster).run(operations)
-    observations = observe_staleness(cluster.trace_log, key="validation-key")
-    measured_reads, measured_writes = operation_latencies(cluster.trace_log)
-    return observations, measured_reads, measured_writes
+    log = cluster.trace_log
+    measured_reads, measured_writes = operation_latencies(log)
+    if isinstance(log, ColumnarTraceLog):
+        frame = observe_staleness_frame(log, key="validation-key")
+    else:
+        frame = StalenessFrame.from_observations(
+            observe_staleness(log, key="validation-key")
+        )
+    return frame, measured_reads, measured_writes
 
 
 def _block_sizes(writes: int, block_writes: int) -> list[int]:
@@ -195,7 +211,7 @@ def _measure_sharded(
     draw_batch_size: int,
     workers: int,
     trace_backend: str,
-) -> tuple[list[StalenessObservation], np.ndarray, np.ndarray]:
+) -> tuple[StalenessFrame, np.ndarray, np.ndarray]:
     """Run the measured side as independent blocks, serially or on a pool."""
     sizes = _block_sizes(writes, block_writes)
     seeds = root.spawn(len(sizes))
@@ -229,14 +245,12 @@ def _measure_sharded(
     else:
         results = [_run_validation_block(spec) for spec in specs]
 
-    observations: list[StalenessObservation] = []
-    read_blocks: list[np.ndarray] = []
-    write_blocks: list[np.ndarray] = []
-    for block_observations, block_reads, block_writes_lat in results:
-        observations.extend(block_observations)
-        read_blocks.append(block_reads)
-        write_blocks.append(block_writes_lat)
-    return observations, np.concatenate(read_blocks), np.concatenate(write_blocks)
+    frames, read_blocks, write_blocks = zip(*results)
+    return (
+        StalenessFrame.concat(frames),
+        np.concatenate(read_blocks),
+        np.concatenate(write_blocks),
+    )
 
 
 def run_validation(
@@ -321,14 +335,17 @@ def run_validation(
         measured_reads, measured_writes = operation_latencies(cluster.trace_log)
         predictor_rng = generator
 
-    if not observations:
+    if not len(observations):
         raise AnalysisError("the validation workload produced no staleness observations")
 
     # --- Predicted side: WARS Monte Carlo with the same distributions. ---
     predictor = WARSModel(distributions=distributions, config=config)
     predicted_result = predictor.sample(prediction_trials, predictor_rng)
 
-    max_t = max(obs.t_since_commit_ms for obs in observations)
+    if isinstance(observations, StalenessFrame):
+        max_t = float(observations.t_since_commit_ms.max())
+    else:
+        max_t = max(obs.t_since_commit_ms for obs in observations)
     bin_edges = np.arange(0.0, max_t + bin_width_ms, bin_width_ms)
     if bin_edges.size < 2:
         bin_edges = np.array([0.0, max(max_t, bin_width_ms)])
@@ -336,16 +353,11 @@ def run_validation(
         observations, predicted_result, bin_edges
     )
 
-    predicted_read_percentiles = [
-        predicted_result.read_latency_percentile(p) for p in latency_percentiles
-    ]
-    predicted_write_percentiles = [
-        predicted_result.write_latency_percentile(p) for p in latency_percentiles
-    ]
-    measured_read_percentiles = list(np.percentile(measured_reads, list(latency_percentiles)))
-    measured_write_percentiles = list(
-        np.percentile(measured_writes, list(latency_percentiles))
-    )
+    percentiles = list(latency_percentiles)
+    predicted_read_percentiles = predicted_result.read_latency_percentile(percentiles)
+    predicted_write_percentiles = predicted_result.write_latency_percentile(percentiles)
+    measured_read_percentiles = list(np.percentile(measured_reads, percentiles))
+    measured_write_percentiles = list(np.percentile(measured_writes, percentiles))
 
     return ValidationResult(
         config=config,

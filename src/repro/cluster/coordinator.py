@@ -163,6 +163,10 @@ class Coordinator:
         # latency distributions (non-negative by construction), so the hot
         # path pushes pre-bound calls straight onto the event queue.
         self._push_call = simulator.queue.push_call
+        # Timeouts are pre-bound calls too, but cancellable: the event holds
+        # the bound method and the heap entry holds the handle, so a handle
+        # and its timeout event never form a reference cycle.
+        self._push_cancellable = simulator.queue.push_cancellable
         self._membership = membership
         self._network = network
         self._config = config
@@ -273,11 +277,12 @@ class Coordinator:
                     handle,
                 )
 
-        handle._timeout_event = self._simulator.schedule(
-            self._timeout_ms,
-            lambda: self._write_timeout(handle),
-            label=f"write-timeout:{operation_id}" if self._event_labels else "",
+        timeout = self._push_cancellable(
+            now + self._timeout_ms, self._write_timeout, handle
         )
+        if self._event_labels:
+            timeout.label = f"write-timeout:{operation_id}"
+        handle._timeout_event = timeout
         return handle
 
     def _send_write(self, replica: StorageNode, handle: WriteHandle) -> None:
@@ -503,11 +508,12 @@ class Coordinator:
                     handle,
                 )
 
-        handle._timeout_event = self._simulator.schedule(
-            self._timeout_ms,
-            lambda: self._read_timeout(handle),
-            label=f"read-timeout:{operation_id}" if self._event_labels else "",
+        timeout = self._push_cancellable(
+            now + self._timeout_ms, self._read_timeout, handle
         )
+        if self._event_labels:
+            timeout.label = f"read-timeout:{operation_id}"
+        handle._timeout_event = timeout
         return handle
 
     def _send_read(self, replica: StorageNode, key: str, handle: ReadHandle) -> None:

@@ -93,6 +93,10 @@ class ReferenceEventQueue:
         """Fast-path compatibility shim: schedules a closure over ``call``."""
         return self.push(time_ms, lambda: call[0](*call[1:]))
 
+    def push_cancellable(self, time_ms: float, *call: object) -> ReferenceEvent:
+        """Fast-path compatibility shim: a cancellable closure over ``call``."""
+        return self.push(time_ms, lambda: call[0](*call[1:]))
+
     def pop(self) -> ReferenceEvent | None:
         """Remove and return the earliest non-cancelled event, or ``None`` if empty."""
         while self._heap:

@@ -30,19 +30,7 @@ __all__ = ["Simulator"]
 
 def _dispatch(entry: tuple) -> None:
     """Invoke one raw heap entry (see :meth:`EventQueue.push_call`)."""
-    length = len(entry)
-    if length == 5:
-        entry[2](entry[3], entry[4])
-    elif length == 6:
-        entry[2](entry[3], entry[4], entry[5])
-    elif length == 4:
-        entry[2](entry[3])
-    else:
-        item = entry[2]
-        if item.__class__ is Event:
-            item.action()
-        else:
-            item()
+    entry[2](*entry[3:])
 
 
 class Simulator:
@@ -60,9 +48,7 @@ class Simulator:
     queue:
         The event queue implementation (default: the tuple-heap
         :class:`EventQueue`).  Any queue with the same push/pop/drain
-        contract works — :class:`~repro.cluster.events.CalendarQueue` is the
-        O(1)-amortised alternative selected by
-        ``DynamoCluster(engine="calendar")``.
+        contract works; the pinned pre-overhaul engine supplies its own.
     """
 
     def __init__(
@@ -100,8 +86,10 @@ class Simulator:
 
     def schedule(self, delay_ms: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` to fire ``delay_ms`` milliseconds from now."""
-        if delay_ms < 0:
-            raise SimulationError(f"cannot schedule an event in the past (delay {delay_ms})")
+        if not delay_ms >= 0:
+            raise SimulationError(
+                f"cannot schedule an event in the past or at NaN (delay {delay_ms})"
+            )
         return self._queue.push(self.clock.now_ms + delay_ms, action, label)
 
     def schedule_action(self, delay_ms: float, action: Callable[[], None]) -> None:
@@ -111,16 +99,18 @@ class Simulator:
         no label) is allocated, so message-delivery events — which are never
         cancelled — cost only a heap entry.
         """
-        if delay_ms < 0:
-            raise SimulationError(f"cannot schedule an event in the past (delay {delay_ms})")
+        if not delay_ms >= 0:
+            raise SimulationError(
+                f"cannot schedule an event in the past or at NaN (delay {delay_ms})"
+            )
         self._queue.push_action(self.clock.now_ms + delay_ms, action)
 
     def schedule_at_action(self, time_ms: float, action: Callable[[], None]) -> None:
         """Uncancellable twin of :meth:`schedule_at` (no Event, no label)."""
-        if time_ms < self.clock.now_ms:
+        if not time_ms >= self.clock.now_ms:
             raise SimulationError(
-                f"cannot schedule an event in the past (now={self.clock.now_ms}, "
-                f"at={time_ms})"
+                "cannot schedule an event in the past or at NaN "
+                f"(now={self.clock.now_ms}, at={time_ms})"
             )
         self._queue.push_action(float(time_ms), action)
 
@@ -137,9 +127,10 @@ class Simulator:
 
     def schedule_at(self, time_ms: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` to fire at absolute simulated time ``time_ms``."""
-        if time_ms < self.now_ms:
+        if not time_ms >= self.now_ms:
             raise SimulationError(
-                f"cannot schedule an event in the past (now={self.now_ms}, at={time_ms})"
+                "cannot schedule an event in the past or at NaN "
+                f"(now={self.now_ms}, at={time_ms})"
             )
         return self._queue.push(time_ms, action, label)
 

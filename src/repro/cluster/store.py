@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.cluster.antientropy import MerkleAntiEntropy
 from repro.cluster.coordinator import Coordinator, ReadHandle, WriteHandle
-from repro.cluster.events import CalendarQueue
 from repro.cluster.failures import FailureInjector
 from repro.cluster.membership import Membership
 from repro.cluster.network import Network
@@ -70,13 +69,10 @@ class DynamoCluster:
         Independent per-message drop probability.
     engine:
         ``"batched"`` (default) uses the overhauled hot path (tuple-heap
-        events, batched draw buffers); ``"calendar"`` is the same hot path on
-        the O(1)-amortised :class:`~repro.cluster.events.CalendarQueue`
-        (bit-for-bit identical traces — the queues share one ordering
-        contract); ``"reference"`` uses the pinned pre-overhaul engine
-        (:mod:`repro.cluster.reference`) — same protocol, same determinism
-        guarantees, original per-message costs — which benchmarks use as
-        their baseline.
+        events, batched draw buffers); ``"reference"`` uses the pinned
+        pre-overhaul engine (:mod:`repro.cluster.reference`) — same
+        protocol, same determinism guarantees, original per-message costs —
+        which benchmarks use as their baseline.
     draw_batch_size:
         Message latencies drawn per network-buffer refill (see
         :mod:`repro.cluster.sampling`); ``1`` reproduces the legacy
@@ -133,10 +129,10 @@ class DynamoCluster:
                 f"coordinator count must be >= 1, got {coordinator_count}"
             )
 
-        if engine not in ("batched", "calendar", "reference"):
+        if engine not in ("batched", "reference"):
             raise ConfigurationError(
                 f"unknown simulation engine {engine!r}; "
-                "choose 'batched', 'calendar', or 'reference'"
+                "choose 'batched' or 'reference'"
             )
         if trace_backend not in ("columnar", "object"):
             raise ConfigurationError(
@@ -145,7 +141,7 @@ class DynamoCluster:
         if fault_plan is not None and engine == "reference":
             raise ConfigurationError(
                 "the pinned reference engine does not support fault plans; "
-                "use engine='batched' or engine='calendar'"
+                "use engine='batched'"
             )
         self.config = config
         self.distributions = distributions
@@ -156,9 +152,6 @@ class DynamoCluster:
 
             self.simulator = ReferenceSimulator(rng=rng)
             network_cls = ReferenceNetwork
-        elif engine == "calendar":
-            self.simulator = Simulator(rng=rng, queue=CalendarQueue())
-            network_cls = Network
         else:
             self.simulator = Simulator(rng=rng)
             network_cls = Network

@@ -4,7 +4,7 @@ The object ``TraceLog`` spends a dataclass, two dicts, and a set on every
 operation; at 10^5+ writes per validation cell that is per-event allocator and
 GC churn the analysis layer then has to undo (re-sorting, re-grouping) before
 it can answer a single staleness query.  ``ColumnarTraceLog`` stores the same
-information as preallocated, growable numpy columns:
+information as append-only columns (Python lists with cached numpy views):
 
 * one row per write / read with scalar columns (``started_ms``,
   ``committed_ms``, interned key/coordinator ids, version timestamp + writer
@@ -15,7 +15,8 @@ information as preallocated, growable numpy columns:
 
 Recording happens through a narrow scalar API (``begin_write`` /
 ``note_write_*`` / ``begin_read`` / ``note_read_*``) shared with the object
-backend, so the coordinator never builds per-operation containers.  The
+backend, so the coordinator never builds per-operation containers; each call
+appends straight to the column lists, one Python frame per call.  The
 familiar ``WriteTrace``/``ReadTrace`` attribute surface survives as lazy row
 views (:class:`ColumnarWriteTrace` / :class:`ColumnarReadTrace`) materialised
 only when somebody asks.
@@ -49,10 +50,14 @@ class _Column:
 
     Scalar appends and in-place updates sit on the recording hot path — every
     simulated message touches one — so storage is a plain list (C-speed
-    ``append``/``__setitem__``, no per-scalar numpy boxing).  The analysis
-    layer sees numpy through :meth:`view`, materialised once per log state and
-    invalidated by any mutation, so a 50k-write analysis pass pays exactly one
-    list→array conversion per column.
+    ``append``/``__setitem__``, no per-scalar numpy boxing).  The log's
+    recording methods append to :attr:`values` directly, with no Python frame
+    per scalar.  The analysis layer sees numpy through :meth:`view`,
+    materialised once per log state, so a 50k-write analysis pass pays exactly
+    one list→array conversion per column.  A cached view whose length differs
+    from the list's is stale (appends never touch the cache); in-place
+    updates (:meth:`set`), :meth:`extend` and :meth:`clear` drop it
+    explicitly.
     """
 
     __slots__ = ("values", "_dtype", "_view")
@@ -67,11 +72,6 @@ class _Column:
         """Number of recorded scalars."""
         return len(self.values)
 
-    def append(self, value) -> None:
-        """Append one scalar."""
-        self.values.append(value)
-        self._view = None
-
     def set(self, index: int, value) -> None:
         """Overwrite one scalar in place (commit times, timeout flags, ...)."""
         self.values[index] = value
@@ -80,7 +80,7 @@ class _Column:
     def view(self) -> np.ndarray:
         """The column as an ndarray, cached until the next mutation."""
         view = self._view
-        if view is None:
+        if view is None or view.shape[0] != len(self.values):
             self._view = view = np.asarray(self.values, dtype=self._dtype)
         return view
 
@@ -107,12 +107,6 @@ class _EventColumns:
         self.node = _Column("int64")
         self.value = _Column(value_dtype)
 
-    def append(self, row: int, node: int, value) -> None:
-        """Append one (row, node, value) event."""
-        self.row.append(row)
-        self.node.append(node)
-        self.value.append(value)
-
     def clear(self) -> None:
         """Reset all three columns."""
         self.row.clear()
@@ -130,13 +124,6 @@ class _VersionColumns:
         self.node = _Column("int64")
         self.ts = _Column("int64")
         self.writer = _Column("int64")
-
-    def append(self, row: int, node: int, ts: int, writer: int) -> None:
-        """Append one (row, node, version) event."""
-        self.row.append(row)
-        self.node.append(node)
-        self.ts.append(ts)
-        self.writer.append(writer)
 
     def clear(self) -> None:
         """Reset all four columns."""
@@ -426,6 +413,10 @@ class ColumnarTraceLog:
 
     # ------------------------------------------------------------------
     # Narrow recording API — write lifecycle.
+    #
+    # These run once per simulated message, so they append to the column
+    # lists directly and intern node ids with an inline dict lookup: no
+    # Python frame is spent per scalar, only on a string's first sighting.
     # ------------------------------------------------------------------
     def begin_write(
         self,
@@ -436,35 +427,67 @@ class ColumnarTraceLog:
         started_ms: float,
     ) -> int:
         """Open a write row; returns the row reference used by ``note_write_*``."""
-        row = self._w_op.size
-        self._w_op.append(operation_id)
-        self._w_key.append(self.intern(key))
-        self._w_ver_ts.append(version.timestamp)
-        self._w_ver_writer.append(self.intern(version.writer))
-        self._w_coord.append(self.intern(coordinator))
-        self._w_started.append(started_ms)
-        self._w_committed.append(math.nan)
+        ids = self._string_ids
+        key_id = ids.get(key)
+        if key_id is None:
+            key_id = self.intern(key)
+        writer = version.writer
+        writer_id = ids.get(writer)
+        if writer_id is None:
+            writer_id = self.intern(writer)
+        coordinator_id = ids.get(coordinator)
+        if coordinator_id is None:
+            coordinator_id = self.intern(coordinator)
+        operations = self._w_op.values
+        row = len(operations)
+        operations.append(operation_id)
+        self._w_key.values.append(key_id)
+        self._w_ver_ts.values.append(version.timestamp)
+        self._w_ver_writer.values.append(writer_id)
+        self._w_coord.values.append(coordinator_id)
+        self._w_started.values.append(started_ms)
+        self._w_committed.values.append(math.nan)
         self._mutations += 1
         return row
 
     def note_write_arrival(self, ref: int, node_id: str, time_ms: float) -> None:
         """Record the write message reaching a replica (the W leg)."""
-        self._w_arrivals.append(ref, self.intern(node_id), time_ms)
+        node = self._string_ids.get(node_id)
+        if node is None:
+            node = self.intern(node_id)
+        columns = self._w_arrivals
+        columns.row.values.append(ref)
+        columns.node.values.append(node)
+        columns.value.values.append(time_ms)
         self._mutations += 1
 
     def note_write_ack(self, ref: int, node_id: str, time_ms: float) -> None:
         """Record a replica acknowledgement reaching the coordinator (W + A legs)."""
-        self._w_acks.append(ref, self.intern(node_id), time_ms)
+        node = self._string_ids.get(node_id)
+        if node is None:
+            node = self.intern(node_id)
+        columns = self._w_acks
+        columns.row.values.append(ref)
+        columns.node.values.append(node)
+        columns.value.values.append(time_ms)
         self._mutations += 1
 
     def note_write_commit(self, ref: int, time_ms: float) -> None:
         """Record the coordinator assembling its write quorum."""
-        self._w_committed.set(ref, time_ms)
+        committed = self._w_committed
+        committed.values[ref] = time_ms
+        committed._view = None
         self._mutations += 1
 
     def note_write_drop(self, ref: int, node_id: str) -> None:
         """Record a write message dropped on the way to a replica."""
-        self._w_drops.append(ref, self.intern(node_id), 0)
+        node = self._string_ids.get(node_id)
+        if node is None:
+            node = self.intern(node_id)
+        columns = self._w_drops
+        columns.row.values.append(ref)
+        columns.node.values.append(node)
+        columns.value.values.append(0)
         self._mutations += 1
 
     def write_view(self, ref: int) -> ColumnarWriteTrace:
@@ -472,58 +495,101 @@ class ColumnarTraceLog:
         return ColumnarWriteTrace(self, ref)
 
     # ------------------------------------------------------------------
-    # Narrow recording API — read lifecycle.
+    # Narrow recording API — read lifecycle (same inlining as writes).
     # ------------------------------------------------------------------
     def begin_read(
         self, operation_id: int, key: str, coordinator: str, started_ms: float
     ) -> int:
         """Open a read row; returns the row reference used by ``note_read_*``."""
-        row = self._r_op.size
-        self._r_op.append(operation_id)
-        self._r_key.append(self.intern(key))
-        self._r_coord.append(self.intern(coordinator))
-        self._r_started.append(started_ms)
-        self._r_completed.append(math.nan)
-        self._r_timeout.append(0)
-        self._r_ret_ts.append(_NO_VERSION)
-        self._r_ret_writer.append(_NO_VERSION)
-        self._r_repairs.append(0)
+        ids = self._string_ids
+        key_id = ids.get(key)
+        if key_id is None:
+            key_id = self.intern(key)
+        coordinator_id = ids.get(coordinator)
+        if coordinator_id is None:
+            coordinator_id = self.intern(coordinator)
+        operations = self._r_op.values
+        row = len(operations)
+        operations.append(operation_id)
+        self._r_key.values.append(key_id)
+        self._r_coord.values.append(coordinator_id)
+        self._r_started.values.append(started_ms)
+        self._r_completed.values.append(math.nan)
+        self._r_timeout.values.append(0)
+        self._r_ret_ts.values.append(_NO_VERSION)
+        self._r_ret_writer.values.append(_NO_VERSION)
+        self._r_repairs.values.append(0)
         self._mutations += 1
         return row
 
     def note_read_response(self, ref: int, node_id: str, time_ms: float) -> None:
         """Record a replica response reaching the coordinator (R + S legs)."""
-        self._r_responses.append(ref, self.intern(node_id), time_ms)
+        node = self._string_ids.get(node_id)
+        if node is None:
+            node = self.intern(node_id)
+        columns = self._r_responses
+        columns.row.values.append(ref)
+        columns.node.values.append(node)
+        columns.value.values.append(time_ms)
         self._mutations += 1
 
     def note_read_quorum(self, ref: int, node_id: str, version: Optional[Version]) -> None:
         """Record a response counted among the first R."""
+        ids = self._string_ids
+        node = ids.get(node_id)
+        if node is None:
+            node = self.intern(node_id)
         if version is None:
-            self._r_quorum.append(ref, self.intern(node_id), _NO_VERSION, _NO_VERSION)
+            ts = writer = _NO_VERSION
         else:
-            self._r_quorum.append(
-                ref, self.intern(node_id), version.timestamp, self.intern(version.writer)
-            )
+            ts = version.timestamp
+            writer = ids.get(version.writer)
+            if writer is None:
+                writer = self.intern(version.writer)
+        columns = self._r_quorum
+        columns.row.values.append(ref)
+        columns.node.values.append(node)
+        columns.ts.values.append(ts)
+        columns.writer.values.append(writer)
         self._mutations += 1
 
     def note_read_late(self, ref: int, node_id: str, version: Optional[Version]) -> None:
         """Record a response that arrived after the read already returned."""
+        ids = self._string_ids
+        node = ids.get(node_id)
+        if node is None:
+            node = self.intern(node_id)
         if version is None:
-            self._r_late.append(ref, self.intern(node_id), _NO_VERSION, _NO_VERSION)
+            ts = writer = _NO_VERSION
         else:
-            self._r_late.append(
-                ref, self.intern(node_id), version.timestamp, self.intern(version.writer)
-            )
+            ts = version.timestamp
+            writer = ids.get(version.writer)
+            if writer is None:
+                writer = self.intern(version.writer)
+        columns = self._r_late
+        columns.row.values.append(ref)
+        columns.node.values.append(node)
+        columns.ts.values.append(ts)
+        columns.writer.values.append(writer)
         self._mutations += 1
 
     def note_read_complete(
         self, ref: int, version: Optional[Version], time_ms: float
     ) -> None:
         """Record the read returning ``version`` to the client at ``time_ms``."""
-        self._r_completed.set(ref, time_ms)
+        completed = self._r_completed
+        completed.values[ref] = time_ms
+        completed._view = None
         if version is not None:
-            self._r_ret_ts.set(ref, version.timestamp)
-            self._r_ret_writer.set(ref, self.intern(version.writer))
+            writer = self._string_ids.get(version.writer)
+            if writer is None:
+                writer = self.intern(version.writer)
+            returned_ts = self._r_ret_ts
+            returned_ts.values[ref] = version.timestamp
+            returned_ts._view = None
+            returned_writer = self._r_ret_writer
+            returned_writer.values[ref] = writer
+            returned_writer._view = None
         self._mutations += 1
 
     def note_read_timeout(self, ref: int) -> None:

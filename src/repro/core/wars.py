@@ -196,6 +196,13 @@ def sample_wars_batch(
     )
 
 
+def _latency_percentile(
+    latencies: np.ndarray, percentile: float | Sequence[float]
+) -> float | list[float]:
+    values = np.percentile(latencies, percentile)
+    return float(values) if np.ndim(percentile) == 0 else values.tolist()
+
+
 @dataclass(frozen=True)
 class WARSTrialResult:
     """Vectorised outcome of a batch of WARS Monte Carlo trials.
@@ -265,13 +272,21 @@ class WARSTrialResult:
         index = min(max(index, 0), thresholds.size - 1)
         return float(max(thresholds[index], 0.0))
 
-    def read_latency_percentile(self, percentile: float) -> float:
-        """Read operation latency (ms) at the given percentile."""
-        return float(np.percentile(self.read_latencies_ms, percentile))
+    def read_latency_percentile(
+        self, percentile: float | Sequence[float]
+    ) -> float | list[float]:
+        """Read operation latency (ms) at the given percentile.
 
-    def write_latency_percentile(self, percentile: float) -> float:
-        """Write (commit) latency (ms) at the given percentile."""
-        return float(np.percentile(self.commit_latencies_ms, percentile))
+        A sequence of percentiles returns a list, computed in one partition
+        pass instead of one per percentile.
+        """
+        return _latency_percentile(self.read_latencies_ms, percentile)
+
+    def write_latency_percentile(
+        self, percentile: float | Sequence[float]
+    ) -> float | list[float]:
+        """Write (commit) latency (ms) at the given percentile (or a list of them)."""
+        return _latency_percentile(self.commit_latencies_ms, percentile)
 
     def probability_never_stale(self) -> float:
         """Fraction of trials that are consistent even at ``t = 0``."""

@@ -8,10 +8,17 @@ equivalent to the legacy per-draw path, and the O((R+W) log W)
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.analysis.staleness import StalenessObservation, observe_staleness
+from repro.analysis.staleness import (
+    StalenessFrame,
+    StalenessObservation,
+    observe_staleness,
+    observe_staleness_frame,
+)
 from repro.analysis.validation import (
     VALIDATION_BLOCK_WRITES,
     _block_sizes,
@@ -245,3 +252,54 @@ class TestStalenessMethodDispatch:
     def test_unknown_method_rejected(self):
         with pytest.raises(AnalysisError):
             observe_staleness(self._log(), method="quadratic")
+
+
+class TestArrayNativeBlockedPath:
+    """The blocked path merges per-block ``StalenessFrame``s instead of
+    observation lists; every field must come out as the list path's would."""
+
+    def _block_log(self, rng: int = 11, writes: int = 80):
+        cluster = DynamoCluster(
+            config=CONFIG, distributions=_distributions(), rng=rng, loss_probability=0.2
+        )
+        WorkloadRunner(cluster).run(
+            validation_workload(
+                key="validation-key",
+                writes=writes,
+                write_interval_ms=200.0,
+                read_offsets_ms=(1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0),
+            )
+        )
+        return cluster.trace_log
+
+    def test_frame_observations_equal_observation_list_on_block_log(self):
+        log = self._block_log()
+        frame = observe_staleness_frame(log, key="validation-key")
+        observations = observe_staleness(log, key="validation-key")
+        assert frame.observations() == observations
+        assert any(not obs.consistent for obs in observations)
+
+    def test_concat_equals_joined_observation_lists(self):
+        logs = [self._block_log(rng=seed, writes=40) for seed in (1, 2, 3)]
+        frames = [observe_staleness_frame(log) for log in logs]
+        joined = [obs for log in logs for obs in observe_staleness(log)]
+        merged = StalenessFrame.concat(frames)
+        assert merged.observations() == joined
+        assert len(merged) == sum(len(frame) for frame in frames)
+
+    def test_from_observations_round_trips(self):
+        observations = observe_staleness(self._block_log(), method="fenwick")
+        frame = StalenessFrame.from_observations(observations)
+        assert frame.observations() == observations
+        assert StalenessFrame.from_observations([]).observations() == []
+
+    def test_one_worker_equals_two_workers_field_for_field(self):
+        serial = _run(writes=360, workers=1, block_writes=120)
+        sharded = _run(writes=360, workers=2, block_writes=120)
+        for field in dataclasses.fields(serial):
+            assert getattr(serial, field.name) == getattr(sharded, field.name), field.name
+
+    def test_object_backend_blocks_match_columnar_blocks(self):
+        columnar = _run(writes=240, workers=1, block_writes=80)
+        objects = _run(writes=240, workers=1, block_writes=80, trace_backend="object")
+        assert columnar == objects

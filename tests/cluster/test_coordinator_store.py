@@ -198,3 +198,49 @@ class TestDynamoClusterFacade:
         assert first is second
         assert cluster.anti_entropy is first
         first.stop()
+
+
+class TestNoReferenceCycles:
+    def test_validation_cell_run_leaves_no_cyclic_garbage(self):
+        """Operation handles and their timeout events are freed by reference
+        counting alone: a 500-write validation-cell run leaves none of them
+        for the cyclic collector."""
+        import gc
+
+        from repro.cluster.client import WorkloadRunner
+        from repro.cluster.coordinator import ReadHandle, WriteHandle
+        from repro.cluster.events import Event
+        from repro.workloads.operations import validation_workload
+
+        distributions = WARSDistributions.write_specialised(
+            write=ExponentialLatency.from_mean(20.0),
+            other=ExponentialLatency.from_mean(10.0),
+        )
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            cluster = DynamoCluster(ReplicaConfig(3, 1, 1), distributions, rng=0)
+            WorkloadRunner(cluster).run(
+                validation_workload(
+                    key="validation-key",
+                    writes=500,
+                    write_interval_ms=200.0,
+                    read_offsets_ms=(1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0),
+                )
+            )
+            assert cluster.trace_log.read_count == 4_000
+            del cluster
+            gc.collect()
+            leaked = [
+                type(obj).__name__
+                for obj in gc.garbage
+                if isinstance(obj, (Event, ReadHandle, WriteHandle))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert leaked == []

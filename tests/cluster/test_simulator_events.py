@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.clock import SimulationClock
@@ -362,3 +363,208 @@ class TestProcessedCountOnFailure:
         with pytest.raises(SimulationError):
             simulator.run(until_ms=2_000.0)
         assert simulator.processed_events == processed_after_storm + 1
+
+
+class TestNaNTimesRejected:
+    """A NaN time breaks the heap order (it compares false both ways), so
+    every validated entry point rejects it instead of firing it first."""
+
+    def test_simulator_entry_points_reject_nan(self):
+        simulator = Simulator(rng=0)
+        nan = float("nan")
+        for schedule in (
+            lambda: simulator.schedule(nan, lambda: None),
+            lambda: simulator.schedule_at(nan, lambda: None),
+            lambda: simulator.schedule_action(nan, lambda: None),
+            lambda: simulator.schedule_at_action(nan, lambda: None),
+        ):
+            with pytest.raises(SimulationError, match="NaN"):
+                schedule()
+        assert simulator.pending_events == 0
+        simulator.run()
+        assert simulator.now_ms == 0.0
+
+    def test_queue_entry_points_reject_nan(self):
+        queue = EventQueue()
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            queue.push(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            queue.push_action(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            queue.push_cancellable(nan, print, 1)
+        with pytest.raises(SimulationError):
+            queue.push_cancellable(-1.0, print, 1)
+        assert len(queue) == 0 and queue.peek_time() is None
+
+    def test_nan_no_longer_fires_before_real_events(self):
+        simulator = Simulator(rng=0)
+        fired: list[float] = []
+        simulator.schedule(5.0, lambda: fired.append(simulator.now_ms))
+        with pytest.raises(SimulationError):
+            simulator.schedule(float("nan"), lambda: fired.append(simulator.now_ms))
+        simulator.run()
+        assert fired == [5.0]
+
+
+class TestCancellableCalls:
+    def test_push_cancellable_dispatches_with_arguments(self):
+        simulator = Simulator(rng=0)
+        seen: list[tuple] = []
+        event = simulator.queue.push_cancellable(
+            3.0, lambda a, b: seen.append((a, b, simulator.now_ms)), "x", 2
+        )
+        assert event.time_ms == 3.0 and len(simulator.queue) == 1
+        simulator.run()
+        assert seen == [("x", 2, 3.0)]
+
+    def test_push_cancellable_event_cancels(self):
+        simulator = Simulator(rng=0)
+        seen: list[int] = []
+        simulator.queue.push_cancellable(1.0, seen.append, 1)
+        simulator.queue.push_cancellable(2.0, seen.append, 2).cancel()
+        assert simulator.pending_events == 1
+        simulator.run()
+        assert seen == [1]
+        assert simulator.processed_events == 1
+
+    def test_pop_and_step_dispatch_cancellable_calls(self):
+        queue = EventQueue()
+        seen: list[int] = []
+        queue.push_cancellable(1.0, seen.append, 7)
+        event = queue.pop()
+        event.action()
+        simulator = Simulator(rng=0)
+        simulator.queue.push_cancellable(1.0, seen.append, 8)
+        assert simulator.step() is True
+        assert seen == [7, 8]
+
+    def test_cancel_drops_the_action(self):
+        queue = EventQueue()
+        event = queue.push(1.0, lambda: None)
+        event.cancel()
+        assert event.cancelled and event.action is None
+        event.cancel()  # idempotent
+        assert len(queue) == 0
+
+    def test_reset_with_argument_entries_pending(self):
+        simulator = Simulator(rng=0)
+        simulator.queue.push_call(1.0, print, "unfired")
+        simulator.queue.push_cancellable(2.0, print, "unfired")
+        simulator.reset()
+        assert simulator.pending_events == 0
+        simulator.run()
+        assert simulator.processed_events == 0
+
+
+class TestMixedEntryOrdering:
+    """Every entry kind shares one ``(time, sequence)`` order on the heap."""
+
+    def test_push_action_and_push_call_entries_pop_in_order(self):
+        queue = EventQueue()
+        fired: list[object] = []
+        queue.push_action(2.0, lambda: fired.append("action"))
+        queue.push_call(1.0, fired.append, "call")
+        queue.push(3.0, lambda: fired.append("event"))
+        while (event := queue.pop()) is not None:
+            event.action()
+        assert fired == ["call", "action", "event"]
+
+    def test_ties_across_entry_kinds_keep_insertion_order(self):
+        simulator = Simulator(rng=0)
+        queue = simulator.queue
+        fired: list[str] = []
+        queue.push(4.0, lambda: fired.append("push"))
+        queue.push_call(4.0, fired.append, "call")
+        queue.push_cancellable(4.0, fired.append, "cancellable")
+        queue.push_action(4.0, lambda: fired.append("action"))
+        simulator.run()
+        assert fired == ["push", "call", "cancellable", "action"]
+
+    def test_push_earlier_than_last_pop_still_pops_first(self):
+        queue = EventQueue()
+        queue.push(50.0, lambda: None)
+        queue.push(60.0, lambda: None)
+        assert queue.pop().time_ms == 50.0
+        queue.push(10.0, lambda: None)
+        assert queue.pop().time_ms == 10.0
+        assert queue.pop().time_ms == 60.0
+
+    def test_widely_spread_times_pop_in_order(self):
+        queue = EventQueue()
+        times = [0.0, 10_000.0, 1_000_000.0, 3.0e9]
+        for time_ms in reversed(times):
+            queue.push(time_ms, lambda: None)
+        assert [queue.pop().time_ms for _ in times] == times
+        assert queue.pop() is None
+
+
+def _drain_order(queue) -> list[tuple[float, int]]:
+    order = []
+    while (event := queue.pop()) is not None:
+        order.append((event.time_ms, event.sequence))
+    return order
+
+
+class TestReferenceQueueConformance:
+    """Randomized conformance: the tuple heap pops in exactly the order of the
+    pre-overhaul dataclass heap, through cancellation and compaction."""
+
+    def test_fuzz_pop_order_matches_reference_queue(self):
+        from repro.cluster.reference import ReferenceEventQueue
+
+        rng = np.random.default_rng(1234)
+        for _ in range(20):
+            queue, reference = EventQueue(), ReferenceEventQueue()
+            tracked = []
+            for _ in range(200):
+                time_ms = float(rng.choice([rng.uniform(0, 50), rng.uniform(0, 5_000)]))
+                tracked.append((queue.push(time_ms, lambda: None),
+                                reference.push(time_ms, lambda: None)))
+            for index in rng.choice(len(tracked), size=60, replace=False):
+                for event in tracked[index]:
+                    event.cancel()
+            assert len(queue) == len(reference) == 140
+            assert _drain_order(queue) == _drain_order(reference)
+
+    def test_fuzz_interleaved_push_pop_matches_reference_queue(self):
+        from repro.cluster.reference import ReferenceEventQueue
+
+        rng = np.random.default_rng(99)
+        queue, reference = EventQueue(), ReferenceEventQueue()
+        floor = 0.0
+        for _ in range(1_000):
+            if len(queue) == 0 or rng.random() < 0.6:
+                time_ms = floor + float(rng.uniform(0, 100))
+                queue.push(time_ms, lambda: None)
+                reference.push(time_ms, lambda: None)
+            else:
+                a, b = queue.pop(), reference.pop()
+                assert (a.time_ms, a.sequence) == (b.time_ms, b.sequence)
+                floor = a.time_ms
+        assert _drain_order(queue) == _drain_order(reference)
+
+    def test_fuzz_across_compaction_matches_reference_queue(self):
+        from repro.cluster.events import COMPACTION_MIN_CANCELLED
+        from repro.cluster.reference import ReferenceEventQueue
+
+        rng = np.random.default_rng(7)
+        queue, reference = EventQueue(), ReferenceEventQueue()
+        tracked = []
+        for _ in range(3 * COMPACTION_MIN_CANCELLED):
+            time_ms = float(rng.uniform(0, 1_000))
+            tracked.append((queue.push(time_ms, lambda: None),
+                            reference.push(time_ms, lambda: None)))
+        cancelled = rng.choice(len(tracked), size=2 * COMPACTION_MIN_CANCELLED + 100,
+                               replace=False)
+        for step, index in enumerate(cancelled):
+            for event in tracked[index]:
+                event.cancel()
+            if step % 50 == 0:
+                a, b = queue.pop(), reference.pop()
+                assert (a.time_ms, a.sequence) == (b.time_ms, b.sequence)
+        # Cancelled entries outnumbered live ones past the threshold, so the
+        # heap was rebuilt at least once while the order was being checked.
+        assert len(queue._heap) < len(reference._heap)
+        assert len(queue) == len(reference)
+        assert _drain_order(queue) == _drain_order(reference)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.tracelog import ColumnarTraceLog
+from repro.cluster.tracelog import ColumnarTraceLog, _Column
 from repro.cluster.tracing import ReadTrace, TraceLog, WriteTrace
 from repro.cluster.versioning import Version
 
@@ -150,6 +150,48 @@ class TestNarrowApiEquivalence:
         # The log is reusable after clear.
         _record_workload(log)
         assert log.write_count == 3
+
+
+class TestColumnViewFreshness:
+    """Recording appends to a column's list directly, so ``view()`` must
+    notice appends by length and every other mutation by invalidation."""
+
+    def test_view_is_fresh_after_direct_appends(self):
+        column = _Column("float64")
+        column.values.append(1.0)
+        first = column.view()
+        assert first.tolist() == [1.0]
+        assert column.view() is first  # cached while unchanged
+        column.values.append(2.0)
+        assert column.view().tolist() == [1.0, 2.0]
+
+    def test_view_is_fresh_after_set_extend_and_clear(self):
+        column = _Column("int64")
+        column.extend([1, 2, 3])
+        assert column.view().tolist() == [1, 2, 3]
+        column.set(1, 20)  # same length: only invalidation can catch this
+        assert column.view().tolist() == [1, 20, 3]
+        column.extend(np.array([4, 5]))
+        assert column.view().tolist() == [1, 20, 3, 4, 5]
+        column.clear()
+        assert column.view().tolist() == []
+        column.extend([7])
+        assert column.view().tolist() == [7]
+
+    def test_log_columns_track_in_place_recording(self):
+        log = ColumnarTraceLog()
+        row = log.begin_read(0, "k", "c-0", 1.0)
+        assert np.isnan(log.read_columns()["completed_ms"][row])
+        log.note_read_complete(row, Version(4, "c-0"), 3.0)
+        columns = log.read_columns()
+        assert columns["completed_ms"].tolist() == [3.0]
+        assert columns["returned_ts"].tolist() == [4]
+        assert log.string_table()[columns["returned_writer"][0]] == "c-0"
+        write = log.begin_write(1, "k", Version(5, "c-0"), "c-0", 2.0)
+        assert np.isnan(log.write_columns()["committed_ms"][write])
+        log.note_write_commit(write, 6.0)
+        assert log.write_columns()["committed_ms"].tolist() == [6.0]
+        assert log.committed_write_rows("k").tolist() == [write]
 
 
 class TestQueries:

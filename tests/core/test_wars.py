@@ -96,6 +96,16 @@ class TestStatisticalBehaviour:
         r3 = WARSModel(exponential_wars, ReplicaConfig(3, 3, 1)).sample(30_000, rng)
         assert r3.read_latency_percentile(50.0) > r1.read_latency_percentile(50.0)
 
+    def test_percentile_sequences_match_scalar_queries_exactly(self, exponential_wars, rng):
+        result = WARSModel(exponential_wars, ReplicaConfig(3, 2, 1)).sample(20_000, rng)
+        percentiles = [float(p) for p in range(1, 100)] + [99.9]
+        reads = result.read_latency_percentile(percentiles)
+        writes = result.write_latency_percentile(percentiles)
+        assert reads == [result.read_latency_percentile(p) for p in percentiles]
+        assert writes == [result.write_latency_percentile(p) for p in percentiles]
+        assert type(reads) is list and type(reads[0]) is float
+        assert type(result.read_latency_percentile(50.0)) is float
+
     def test_t_visibility_quantile_is_consistent_with_curve(self, exponential_wars, rng):
         result = WARSModel(exponential_wars, ReplicaConfig(3, 1, 1)).sample(50_000, rng)
         t_99 = result.t_visibility(0.99)

@@ -114,13 +114,6 @@ def run_benchmarks(quick: bool = False) -> dict:
         writes=analytics_writes
     )
 
-    print(
-        f"calendar queue vs tuple heap ({cluster_writes} writes/run) ...", flush=True
-    )
-    benchmarks["calendar_queue_events_per_sec"] = (
-        bench_cluster.measure_calendar_queue_events_per_sec(writes=cluster_writes)
-    )
-
     import test_bench_analytic as bench_analytic
 
     if quick:
