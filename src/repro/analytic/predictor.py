@@ -43,6 +43,7 @@ rejected and remain Monte Carlo only.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from math import comb
 from typing import Mapping, Sequence
@@ -89,6 +90,13 @@ _SWEEP_REFINEMENTS: int = 10
 
 #: Bisection iterations for the exact (lazy) t-visibility query.
 _EXACT_BISECTIONS: int = 60
+
+#: One lock per predictor (by ``id``) with a cold
+#: :attr:`AnalyticPredictor.environment` build in progress, so concurrent
+#: first queries on one predictor build its tables once while builds for
+#: different predictors still overlap.  ``_BUILD_LOCKS_GUARD`` guards the map.
+_BUILD_LOCKS: dict[int, threading.Lock] = {}
+_BUILD_LOCKS_GUARD = threading.Lock()
 
 
 def _cdf_cells(nodes: np.ndarray, cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,19 +402,44 @@ class AnalyticPredictor:
 
     @property
     def environment(self) -> AnalyticEnvironment:
-        """The lazily built, cached environment tables."""
+        """The lazily built, cached environment tables.
+
+        Built at most once even when several threads ask for a cold
+        predictor at the same time: the build runs under a lock of this
+        predictor's own and re-checks the cache inside it, so a late caller
+        waits for the first build instead of repeating it.  Cold builds of
+        different predictors do not wait for each other.  The lock lives in
+        a module-level map, not in a field, which keeps the predictor a
+        picklable, comparable frozen dataclass.
+        """
         try:
             return self._environment_cache  # type: ignore[attr-defined]
         except AttributeError:
-            environment = AnalyticEnvironment(
-                distributions=self.distributions,
-                grid_points=self.grid_points,
-                tail_mass=self.tail_mass,
-                request_cells=self.request_cells,
-                quad_cells=self.quad_cells,
-            )
-            object.__setattr__(self, "_environment_cache", environment)
-            return environment
+            pass
+        key = id(self)
+        with _BUILD_LOCKS_GUARD:
+            lock = _BUILD_LOCKS.setdefault(key, threading.Lock())
+        with lock:
+            try:
+                return self._environment_cache  # type: ignore[attr-defined]
+            except AttributeError:
+                pass
+            try:
+                environment = AnalyticEnvironment(
+                    distributions=self.distributions,
+                    grid_points=self.grid_points,
+                    tail_mass=self.tail_mass,
+                    request_cells=self.request_cells,
+                    quad_cells=self.quad_cells,
+                )
+                object.__setattr__(self, "_environment_cache", environment)
+                return environment
+            finally:
+                # Callers arriving from here on find the cache (or, after a
+                # failed build, retry under a fresh lock).
+                with _BUILD_LOCKS_GUARD:
+                    if _BUILD_LOCKS.get(key) is lock:
+                        del _BUILD_LOCKS[key]
 
     def result(self, config: ReplicaConfig) -> AnalyticConfigResult:
         """A lazily evaluated result for one configuration."""

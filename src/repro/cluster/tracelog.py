@@ -149,6 +149,50 @@ class _RowIndex:
         return self.order[lo:hi]
 
 
+class _EventTable:
+    """One triplet set collapsed to the per-row ``{node: value}`` dict views.
+
+    The views assign a row's events to a dict in recording order, so a node
+    recorded twice for one row keeps its first place but its last value.
+    This holds that rule as arrays: one entry per distinct ``(row, node)``
+    pair, ``rows``/``nodes``/``values`` in the order iterating the views row
+    by row visits them, and the sorted pair ``keys`` (with ``keyed_values``)
+    for lookups by pair.
+    """
+
+    __slots__ = ("rows", "nodes", "values", "_width", "_keys", "_keyed_values")
+
+    def __init__(self, columns: _EventColumns, width: int) -> None:
+        row = columns.row.view()
+        node = columns.node.view()
+        value = columns.value.view()
+        keys = row * width + node
+        by_key = np.argsort(keys, kind="stable")
+        sorted_keys = keys[by_key]
+        # Keys are non-negative, so a -1 pad makes both ends of every run a change.
+        first = by_key[np.diff(sorted_keys, prepend=-1) != 0]
+        last = by_key[np.diff(sorted_keys, append=-1) != 0]
+        self._width = width
+        self._keys = keys[first]
+        self._keyed_values = value[last]
+        visit = np.lexsort((first, row[first]))
+        self.rows = row[first][visit]
+        self.nodes = node[first][visit]
+        self.values = self._keyed_values[visit]
+        for shared in (self.rows, self.nodes, self.values):
+            shared.setflags(write=False)  # cached and handed out as is
+
+    def lookup(self, rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """The value recorded for each ``(row, node)`` pair, NaN where none was."""
+        keys = np.asarray(rows) * self._width + np.asarray(nodes)
+        slot = np.searchsorted(self._keys, keys)
+        found = slot < self._keys.size
+        found[found] = self._keys[slot[found]] == keys[found]
+        result = np.full(keys.shape, np.nan)
+        result[found] = self._keyed_values[slot[found]]
+        return result
+
+
 class ColumnarWriteTrace:
     """Lazy row view over a :class:`ColumnarTraceLog` write, WriteTrace-shaped."""
 
@@ -741,6 +785,28 @@ class ColumnarTraceLog:
             "repairs": self._r_repairs.view(),
         }
 
+    def event_columns(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row, node, value)`` arrays of one per-replica event set, as the views see it.
+
+        ``name`` is ``"write_arrivals"`` (the W leg), ``"write_acks"`` (W + A)
+        or ``"read_responses"`` (R + S).  There is one entry per distinct
+        ``(row, node)`` pair, in the order iterating the per-row dict views
+        (``replica_arrivals_ms``, ``ack_arrivals_ms``,
+        ``response_arrivals_ms``) row by row visits it, with the value that
+        view holds.  ``row`` indexes the write or read columns, ``node`` the
+        string table, and ``value`` is the event's arrival time (ms).
+        """
+        table = self._event_table(name)
+        return table.rows, table.nodes, table.values
+
+    def event_values(self, name: str, rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """The time (ms) event set ``name`` holds for each ``(row, node)``, NaN if none.
+
+        Vectorised ``view.<event dict>.get(node)`` over many pairs, e.g. the
+        write arrival behind each ack.
+        """
+        return self._event_table(name).lookup(rows, nodes)
+
     def writer_sort_ranks(self) -> np.ndarray:
         """Rank of each interned string under lexicographic string order.
 
@@ -774,6 +840,21 @@ class ColumnarTraceLog:
             index = _RowIndex(columns.row.view())
             cache[name] = index
         return index
+
+    def _event_table(self, name: str) -> _EventTable:
+        columns = {
+            "write_arrivals": self._w_arrivals,
+            "write_acks": self._w_acks,
+            "read_responses": self._r_responses,
+        }.get(name)
+        if columns is None:
+            raise ValueError(f"unknown event set {name!r}")
+        cache = self._query_cache()
+        table = cache.get(("events", name))
+        if table is None:
+            table = _EventTable(columns, len(self._strings))
+            cache[("events", name)] = table
+        return table
 
     def _event_dict(self, columns: _EventColumns, name: str, row: int) -> dict[str, float]:
         index = self._row_index(columns, name)

@@ -29,7 +29,7 @@ __all__ = [
     "FaultPlan",
     "GrayFailure",
     "FaultRuntime",
-    "LegSample",
+    "LegSamples",
     "RecoveryTrajectory",
     "RecoveryWindow",
     "harvest_wars_observations",
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 _RECOVERY_EXPORTS = (
-    "LegSample",
+    "LegSamples",
     "RecoveryTrajectory",
     "RecoveryWindow",
     "harvest_wars_observations",

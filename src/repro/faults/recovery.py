@@ -39,7 +39,6 @@ legs either.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -51,14 +50,16 @@ from repro.analytic.predictor import AnalyticPredictor
 from repro.cluster.client import WorkloadRunner
 from repro.cluster.sampling import DEFAULT_DRAW_BATCH_SIZE
 from repro.cluster.store import DynamoCluster
+from repro.cluster.tracelog import ColumnarTraceLog
 from repro.core.quorum import ReplicaConfig
 from repro.exceptions import ScenarioError
+from repro.faults.plan import WARS_LEGS
 from repro.scenarios.divergence import SCENARIO_BLOCK_WRITES
 from repro.scenarios.registry import ScenarioContext, get_scenario
 from repro.serving.service import PredictorService
 
 __all__ = [
-    "LegSample",
+    "LegSamples",
     "RecoveryWindow",
     "RecoveryTrajectory",
     "harvest_wars_observations",
@@ -69,31 +70,61 @@ __all__ = [
 RECOVERY_TENANT = "adaptive"
 
 
-@dataclass(frozen=True)
-class LegSample:
-    """One harvested per-leg latency observation on the global timeline.
+#: Code of each leg in :attr:`LegSamples.leg` (its index in ``WARS_LEGS``).
+_LEG_CODE = {leg: code for code, leg in enumerate(WARS_LEGS)}
 
-    ``at_ms`` is the *global* simulated time the observation became visible
-    at the coordinator (message arrival), which is when a real measurement
-    layer could have recorded it — windows slice on this, not on operation
-    start times.
+
+@dataclass(frozen=True, eq=False)
+class LegSamples:
+    """Harvested per-leg latency observations on the global timeline, as columns.
+
+    Sample ``i`` is one observation of leg ``WARS_LEGS[leg[i]]``: its latency
+    ``value_ms[i]`` and ``at_ms[i]``, the *global* simulated time it became
+    visible at the coordinator (message arrival), which is when a real
+    measurement layer could have recorded it — windows slice on this, not on
+    operation start times.
     """
 
-    leg: str
-    at_ms: float
-    value_ms: float
+    leg: np.ndarray
+    at_ms: np.ndarray
+    value_ms: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.leg.size)
+
+    def __getitem__(self, index: slice | np.ndarray) -> "LegSamples":
+        """The samples selected by a slice or an index array, as columns."""
+        return LegSamples(self.leg[index], self.at_ms[index], self.value_ms[index])
+
+    def values(self, leg: str) -> np.ndarray:
+        """The latencies (ms) of one leg, in sample order."""
+        return self.value_ms[self.leg == _LEG_CODE[leg]]
+
+    @classmethod
+    def concat(cls, parts: Sequence["LegSamples"]) -> "LegSamples":
+        """Join harvests end to end (e.g. one per simulated block)."""
+        return cls(
+            np.concatenate([part.leg for part in parts]),
+            np.concatenate([part.at_ms for part in parts]),
+            np.concatenate([part.value_ms for part in parts]),
+        )
 
 
 def harvest_wars_observations(
     trace_log,
     offset_ms: float = 0.0,
     split_rng: np.random.Generator | None = None,
-) -> list[LegSample]:
+) -> LegSamples:
     """Extract per-leg W/A/R/S samples from one block's trace log.
 
+    The samples come straight from the log's event columns, in trace order:
+    write by write, each write's ``W`` samples (one per replica arrival)
+    then its ``A`` samples (one per ack whose arrival was recorded); then
+    read by read, an ``R``/``S`` pair per replica response.
+
     Args:
-        trace_log: A cluster trace log (columnar or object backend — both
-            expose ``writes``/``reads`` row views).
+        trace_log: A cluster trace log.  Object-backend logs are converted
+            with :meth:`ColumnarTraceLog.from_object_log` first.
         offset_ms: Added to every local timestamp, mapping this block onto
             the run's global timeline.
         split_rng: Generator for the R/S round-trip split draws (one uniform
@@ -102,25 +133,50 @@ def harvest_wars_observations(
             should pass their own.
     """
     rng = np.random.default_rng(0) if split_rng is None else split_rng
-    samples: list[LegSample] = []
-    for write in trace_log.writes:
-        start = write.started_ms
-        arrivals = write.replica_arrivals_ms
-        for replica, arrival in arrivals.items():
-            samples.append(LegSample("W", offset_ms + arrival, arrival - start))
-        for replica, ack in write.ack_arrivals_ms.items():
-            arrival = arrivals.get(replica)
-            if arrival is None:  # ack without a recorded arrival: lost trace
-                continue
-            samples.append(LegSample("A", offset_ms + ack, ack - arrival))
-    for read in trace_log.reads:
-        start = read.started_ms
-        for replica, response in read.response_arrivals_ms.items():
-            round_trip = response - start
-            r_leg = float(rng.random()) * round_trip
-            samples.append(LegSample("R", offset_ms + response, r_leg))
-            samples.append(LegSample("S", offset_ms + response, round_trip - r_leg))
-    return samples
+    if not isinstance(trace_log, ColumnarTraceLog):
+        trace_log = ColumnarTraceLog.from_object_log(trace_log)
+
+    # W: write message arrival minus write start.
+    w_rows, _, w_at = trace_log.event_columns("write_arrivals")
+    w_value = w_at - trace_log.write_columns()["started_ms"][w_rows]
+
+    # A: ack arrival minus the same replica's write arrival; an ack without
+    # a recorded arrival (lost trace) yields no sample.
+    ack_rows, ack_nodes, ack_at = trace_log.event_columns("write_acks")
+    arrival_ms = trace_log.event_values("write_arrivals", ack_rows, ack_nodes)
+    matched = ~np.isnan(arrival_ms)
+    a_rows = ack_rows[matched]
+    a_at = ack_at[matched]
+    a_value = a_at - arrival_ms[matched]
+
+    # Each write's W samples, then its A samples: a stable sort by row of
+    # the W run followed by the A run.
+    write_order = np.argsort(np.concatenate([w_rows, a_rows]), kind="stable")
+    write_leg = np.concatenate(
+        [
+            np.full(w_rows.size, _LEG_CODE["W"], np.int8),
+            np.full(a_rows.size, _LEG_CODE["A"], np.int8),
+        ]
+    )[write_order]
+    write_at = np.concatenate([w_at, a_at])[write_order]
+    write_value = np.concatenate([w_value, a_value])[write_order]
+
+    # R/S: the response round trip, split by one uniform draw per response.
+    r_rows, _, response_ms = trace_log.event_columns("read_responses")
+    round_trip = response_ms - trace_log.read_columns()["started_ms"][r_rows]
+    r_value = rng.random(round_trip.size) * round_trip
+    s_value = round_trip - r_value
+    read_leg = np.tile(
+        np.array([_LEG_CODE["R"], _LEG_CODE["S"]], np.int8), round_trip.size
+    )
+    read_at = np.repeat(response_ms, 2)
+    read_value = np.column_stack([r_value, s_value]).ravel()
+
+    return LegSamples(
+        leg=np.concatenate([write_leg, read_leg]),
+        at_ms=offset_ms + np.concatenate([write_at, read_at]),
+        value_ms=np.concatenate([write_value, read_value]),
+    )
 
 
 @dataclass(frozen=True)
@@ -264,7 +320,7 @@ def run_adaptive_recovery(
     sizes = _block_sizes(writes, block_writes or SCENARIO_BLOCK_WRITES)
     seeds = blocks_root.spawn(len(sizes))
     observations = []
-    samples: list[LegSample] = []
+    harvests: list[LegSamples] = []
     offset_ms = 0.0
     for size, seed in zip(sizes, seeds):
         cluster_seed, context_seed = seed.spawn(2)
@@ -287,13 +343,14 @@ def run_adaptive_recovery(
             scenario.setup(cluster, context)
         WorkloadRunner(cluster).run(operations)
         observations.extend(observe_staleness(cluster.trace_log))
-        samples.extend(
+        harvests.append(
             harvest_wars_observations(cluster.trace_log, offset_ms, split_rng)
         )
         offset_ms += context.horizon_ms
+    samples = LegSamples.concat(harvests)
     if not observations:
         raise ScenarioError(f"scenario {name!r} produced no staleness observations")
-    if not samples:
+    if not len(samples):
         raise ScenarioError(f"scenario {name!r} produced no harvestable leg samples")
 
     # --- Measured consistency curve at populated bins (run_scenario's). ---
@@ -339,8 +396,9 @@ def run_adaptive_recovery(
         )
     service.register_tenant(RECOVERY_TENANT, base)
 
-    samples.sort(key=lambda sample: sample.at_ms)
-    total_ms = max(offset_ms, samples[-1].at_ms)
+    # One stable sort by visibility time, then each window is a slice.
+    timeline = samples[np.argsort(samples.at_ms, kind="stable")]
+    total_ms = max(offset_ms, float(timeline.at_ms[-1]))
     window_ms = total_ms / windows
     recovery_windows: list[RecoveryWindow] = []
     threshold_window: int | None = None
@@ -348,17 +406,21 @@ def run_adaptive_recovery(
     for index in range(1, windows + 1):
         start_ms = (index - 1) * window_ms
         end_ms = index * window_ms
-        window_values: dict[str, list[float]] = {}
         # The final window's right edge is inclusive: the workload drain can
         # place the last arrivals exactly at (or past) the nominal horizon.
-        while cursor < len(samples) and (
-            samples[cursor].at_ms < end_ms or index == windows
-        ):
-            sample = samples[cursor]
-            window_values.setdefault(sample.leg, []).append(sample.value_ms)
-            cursor += 1
-        for leg, values in sorted(window_values.items()):
-            service.ingest(RECOVERY_TENANT, leg, values)
+        cut = (
+            len(timeline)
+            if index == windows
+            else int(np.searchsorted(timeline.at_ms, end_ms, side="left"))
+        )
+        window = timeline[cursor:cut]
+        cursor = cut
+        window_counts: dict[str, int] = {}
+        for leg in sorted(WARS_LEGS):
+            leg_values = window.values(leg)
+            if leg_values.size:
+                service.ingest(RECOVERY_TENANT, leg, leg_values)
+                window_counts[leg] = int(leg_values.size)
         fingerprint = service.refit(RECOVERY_TENANT)
         adaptive_curve = np.asarray(
             service.consistency_probabilities(RECOVERY_TENANT, config, probe_ts)
@@ -372,7 +434,7 @@ def run_adaptive_recovery(
                 index=index,
                 start_ms=start_ms,
                 end_ms=end_ms,
-                samples={leg: len(values) for leg, values in sorted(window_values.items())},
+                samples=window_counts,
                 fingerprint=fingerprint,
                 mean_abs_delta_p=adaptive_mean,
                 recovered_fraction=recovered,

@@ -43,6 +43,18 @@ _FALLBACK_SAMPLE_COUNT: int = 200_000
 _FALLBACK_SAMPLE_SEED: int = 0
 
 
+def checked_quantiles(qs: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``qs`` as a float array, or :class:`DistributionError` if any lies outside [0, 1].
+
+    The comparison is written so that NaN fails it, matching the scalar
+    ``not 0.0 <= q <= 1.0`` guard of every :meth:`LatencyDistribution.ppf`.
+    """
+    values = np.asarray(qs, dtype=float)
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise DistributionError("quantiles must lie in [0, 1]")
+    return values
+
+
 def as_rng(seed_or_rng: int | np.random.Generator | None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` from a seed, generator, or ``None``.
 
@@ -142,14 +154,15 @@ class LatencyDistribution(abc.ABC):
         Subclasses that override :meth:`ppf` are evaluated point-wise through
         their closed form; distributions still on the sampling fallback answer
         the whole ladder with a single ``np.quantile`` call over the cached
-        draw.  This is the entry point the analytic fast path
-        (:mod:`repro.analytic`) uses to tabulate leg distributions.
+        draw.  Table-backed subclasses (empirical samples, quantile tables)
+        override this method to answer the ladder in one call too.  This is
+        the entry point the analytic fast path (:mod:`repro.analytic`) uses
+        to tabulate leg distributions.  Any ``q`` outside ``[0, 1]``, NaN
+        included, raises :class:`DistributionError` on every path.
         """
-        values = np.asarray(qs, dtype=float)
+        values = checked_quantiles(qs)
         if values.size == 0:
             return values.copy()
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise DistributionError("quantiles must lie in [0, 1]")
         if type(self).ppf is not LatencyDistribution.ppf:
             flat = np.array([self.ppf(float(q)) for q in values.ravel()])
             return flat.reshape(values.shape)

@@ -82,8 +82,10 @@ The coordinator merges worker partials strictly in block order and applies
 the early-stopping convergence check after each merged chunk — the same
 cadence as the serial loop — so ``trials_run``, ``stopped_early``,
 ``converged``, every count, and every histogram bin are bit-for-bit identical
-to the serial seed-mode run, for any worker count.  Early stopping discards
-whatever speculative chunks were still in flight.  Two regimes cannot shard
+to the serial seed-mode run, for any worker count.  At most two chunks per
+worker are in flight; early stopping lets those finish, discards their
+partials and closes the pool gracefully (terminating a pool whose workers
+are still sending results can deadlock its shutdown).  Two regimes cannot shard
 and silently fall back to serial execution: passing a ``numpy.random.Generator``
 (the stream is inherently sequential) and ``keep_samples=True`` (shipping the
 raw per-trial arrays between processes would cost more than the sampling).
@@ -1698,8 +1700,10 @@ class SweepEngine:
         # past the merge frontier: chunk j's probe set depends on decisions
         # through boundary j - 1 - lag, which require chunks through that
         # index to be merged.  Without refinement every chunk's grid is known
-        # upfront and the whole task list can be in flight at once.
-        window = len(tasks) if plan is None else REFINE_ACTIVATION_LAG + 1
+        # upfront, and two chunks per worker keep the pool busy while bounding
+        # what an early stop has to wait for.
+        processes = min(self._workers, len(tasks))
+        window = 2 * processes if plan is None else REFINE_ACTIVATION_LAG + 1
         # Fork keeps pool start-up negligible where available — but only
         # while no parallel JIT kernel has ever executed in this process:
         # numba's threading layers are not fork-safe (an OpenMP layer
@@ -1715,16 +1719,14 @@ class SweepEngine:
         else:
             context = multiprocessing.get_context("spawn")
         with context.Pool(
-            processes=min(self._workers, len(tasks)),
+            processes=processes,
             initializer=_init_worker,
             initargs=(spec,),
         ) as pool:
             # Tasks are submitted in block order and merged in block order
             # (a sliding window of async results), so the stopping and
             # refinement decisions see exactly the serial loop's state at
-            # every chunk boundary.  Breaking out of the loop lets the pool
-            # context terminate whatever speculative chunks were still in
-            # flight.
+            # every chunk boundary.
             in_flight: deque = deque()
             next_task = 0
             merged_chunks = 0  # merged worker chunks; inline chunk 0 excluded
@@ -1751,4 +1753,13 @@ class SweepEngine:
                     break
                 if plan is not None and processed < trials:
                     plan.decide(tables, chunk_index)
+            # An early stop leaves speculative chunks in flight: wait for
+            # them (their partials are dropped) and shut down gracefully.
+            # Terminating instead would kill workers that may be sending a
+            # result, and a worker killed while holding the result queue's
+            # lock hangs the pool's shutdown forever.
+            for _, handle in in_flight:
+                handle.wait()
+            pool.close()
+            pool.join()
         return processed

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import pickle
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import repro.analytic.predictor as predictor_module
 from repro.analytic.predictor import AnalyticPredictor
 from repro.core.quorum import ReplicaConfig
 from repro.exceptions import ConfigurationError
 from repro.latency.distributions import ExponentialLatency
+from repro.latency.empirical import EmpiricalDistribution
 from repro.latency.production import WARSDistributions, lnkd_ssd, wan
 
 
@@ -109,3 +116,100 @@ class TestAnalyticPredictor:
         predictor = AnalyticPredictor(distributions=lnkd_ssd())
         probability = predictor.consistency_probability(ReplicaConfig(3, 1, 1), 0.0)
         assert 0.95 < probability < 0.99
+
+
+def empirical_wars(seed: int = 0) -> WARSDistributions:
+    """Four empirical legs of reservoir size, as a serving refit builds them."""
+    rng = np.random.default_rng(seed)
+    legs = [EmpiricalDistribution(rng.exponential(mean, 8_192)) for mean in (4, 1, 2, 3)]
+    return WARSDistributions(w=legs[0], a=legs[1], r=legs[2], s=legs[3])
+
+
+class TestEnvironmentBuild:
+    def test_empirical_build_makes_no_scalar_ppf_calls(self, monkeypatch):
+        calls = []
+        original = EmpiricalDistribution.ppf
+        monkeypatch.setattr(
+            EmpiricalDistribution,
+            "ppf",
+            lambda self, q: calls.append(q) or original(self, q),
+        )
+        predictor = AnalyticPredictor(distributions=empirical_wars())
+        assert 0.0 < predictor.consistency_probability(ReplicaConfig(3, 1, 1), 1.0) < 1.0
+        assert calls == []
+
+    def test_concurrent_first_queries_build_once(self, monkeypatch):
+        built = []
+        real = predictor_module.AnalyticEnvironment
+
+        def slow_environment(**kwargs):
+            # Widen the race: every thread is past its cache check before
+            # the first build could finish.
+            time.sleep(0.05)
+            built.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(predictor_module, "AnalyticEnvironment", slow_environment)
+        predictor = AnalyticPredictor(distributions=empirical_wars(1))
+        threads = 8
+        barrier = threading.Barrier(threads)
+        environments = []
+
+        def first_query():
+            barrier.wait()
+            environments.append(predictor.result(ReplicaConfig(3, 1, 1)).environment)
+
+        workers = [threading.Thread(target=first_query) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(built) == 1
+        assert len(environments) == threads
+        assert all(env is environments[0] for env in environments)
+
+    def test_cold_builds_of_different_predictors_overlap(self, monkeypatch):
+        real = predictor_module.AnalyticEnvironment
+        both_building = threading.Barrier(2, timeout=10)
+
+        def rendezvous_environment(**kwargs):
+            # Returns only once the other predictor's build has started too;
+            # one lock for all predictors would break the barrier.
+            both_building.wait()
+            return real(**kwargs)
+
+        monkeypatch.setattr(predictor_module, "AnalyticEnvironment", rendezvous_environment)
+        predictors = [AnalyticPredictor(distributions=empirical_wars(seed)) for seed in (2, 3)]
+        errors = []
+
+        def first_query(predictor):
+            try:
+                predictor.result(ReplicaConfig(3, 1, 1))
+            except threading.BrokenBarrierError as error:
+                errors.append(error)
+
+        workers = [threading.Thread(target=first_query, args=(p,)) for p in predictors]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert predictor_module._BUILD_LOCKS == {}
+
+    def test_predictor_stays_picklable_and_comparable(self):
+        predictor = AnalyticPredictor(
+            distributions=WARSDistributions.write_specialised(
+                write=ExponentialLatency(rate=0.5), other=ExponentialLatency(rate=1.0)
+            )
+        )
+        before = predictor.consistency_probability(ReplicaConfig(3, 1, 1), 0.0)
+        clone = pickle.loads(pickle.dumps(predictor))
+        assert clone == predictor
+        assert clone.consistency_probability(ReplicaConfig(3, 1, 1), 0.0) == before

@@ -245,6 +245,77 @@ class TestQueries:
         assert ranks[second] < ranks[first]
 
 
+class TestEventColumns:
+    """``event_columns``/``event_values`` are the per-row dict views as arrays."""
+
+    VIEWS = {
+        "write_arrivals": ("writes", "replica_arrivals_ms"),
+        "write_acks": ("writes", "ack_arrivals_ms"),
+        "read_responses": ("reads", "response_arrivals_ms"),
+    }
+
+    @staticmethod
+    def _repeating_log() -> ColumnarTraceLog:
+        """Interleaved rows, and a node recorded twice for one row."""
+        log = ColumnarTraceLog()
+        _record_workload(log)
+        w0, w1 = 0, 1
+        log.note_write_arrival(w1, "node-2", 25.0)
+        log.note_write_arrival(w0, "node-0", 40.0)  # repeat: first place, last value
+        log.note_write_ack(w1, "node-2", 26.0)
+        log.note_read_response(0, "node-1", 50.0)
+        return log
+
+    @pytest.mark.parametrize("name", sorted(VIEWS))
+    def test_columns_iterate_like_the_views(self, name):
+        log = self._repeating_log()
+        rows_attr, dict_attr = self.VIEWS[name]
+        expected = [
+            (row, node, value)
+            for row, view in enumerate(getattr(log, rows_attr))
+            for node, value in getattr(view, dict_attr).items()
+        ]
+        rows, nodes, values = log.event_columns(name)
+        strings = log.string_table()
+        got = [(int(r), strings[n], float(v)) for r, n, v in zip(rows, nodes, values)]
+        assert got == expected
+
+    def test_repeated_node_keeps_first_place_and_last_value(self):
+        log = self._repeating_log()
+        rows, nodes, values = log.event_columns("write_arrivals")
+        strings = log.string_table()
+        assert [(int(r), strings[n]) for r, n in zip(rows, nodes)][:2] == [
+            (0, "node-0"),
+            (0, "node-1"),
+        ]
+        assert values[0] == 40.0
+
+    def test_values_look_up_pairs_with_nan_for_missing(self):
+        log = self._repeating_log()
+        node = {name: log.interned_id(name) for name in ("node-0", "node-1", "node-2")}
+        got = log.event_values(
+            "write_arrivals",
+            np.array([0, 0, 1, 1, 2]),
+            np.array([node["node-0"], node["node-2"], node["node-2"], node["node-0"], node["node-0"]]),
+        )
+        assert got[[0, 2, 4]].tolist() == [40.0, 25.0, 31.0]
+        assert np.isnan(got[[1, 3]]).all()
+
+    def test_columns_follow_new_events_and_are_read_only(self):
+        log = ColumnarTraceLog()
+        assert [column.size for column in log.event_columns("write_acks")] == [0, 0, 0]
+        ref = log.begin_write(0, "k", Version(1, "c"), "c", 0.0)
+        log.note_write_ack(ref, "n1", 2.0)
+        rows, _, values = log.event_columns("write_acks")
+        assert rows.tolist() == [ref] and values.tolist() == [2.0]
+        with pytest.raises(ValueError):
+            values[0] = 3.0
+
+    def test_unknown_event_set_is_rejected(self):
+        with pytest.raises(ValueError):
+            ColumnarTraceLog().event_values("write_drops", np.array([0]), np.array([0]))
+
+
 class TestMergeContract:
     """Block-order merge reproduces the serial log bit-for-bit."""
 

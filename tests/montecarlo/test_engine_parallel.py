@@ -15,6 +15,8 @@ are covered at the bottom.
 
 from __future__ import annotations
 
+import multiprocessing.pool
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,27 @@ class TestEarlyStoppingWithWorkers:
         assert sharded.trials_run >= floor
         # The floor callers actually use: ~100 samples above the quantile.
         assert floor >= min_trials_for_quantile(0.995)
+
+    def test_early_stop_leaves_no_chunk_running(self, workers, monkeypatch):
+        """Stopping early waits out the few speculative chunks in flight
+        instead of terminating the pool under them: a worker killed while
+        sending its result can hang the pool's shutdown forever."""
+        handles = []
+        submit = multiprocessing.pool.Pool.apply_async
+
+        def recording_submit(pool, *args, **kwargs):
+            handles.append(submit(pool, *args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", recording_submit)
+        sharded = _engine(workers=workers, tolerance=0.02, min_trials=2 * SAMPLE_BLOCK).run(
+            1_000_000, 13
+        )
+        assert sharded.stopped_early
+        assert handles and all(handle.ready() for handle in handles)
+        # Chunk 0 runs inline; at most two chunks per worker run past the stop.
+        merged = sharded.trials_run // SAMPLE_BLOCK - 1
+        assert len(handles) <= merged + 2 * workers
 
     def test_unconverged_budget_exhaustion_matches_serial(self, workers):
         kwargs = dict(tolerance=1e-6)

@@ -193,7 +193,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"of static divergence "
                 f"({result['static_mean_abs_delta_p_pct']:.2f}% -> "
                 f"{result['final_mean_abs_delta_p_pct']:.2f}%) "
-                f"in {result['windows_to_threshold']} window(s)"
+                f"in {result['windows_to_threshold']} window(s), "
+                f"{result['wall_clock_s']:.2f} s per call"
             )
         elif "speedup" in result:
             print(f"{name}: speedup {result['speedup']:.2f}x")
